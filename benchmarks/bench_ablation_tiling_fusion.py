@@ -5,9 +5,9 @@ Two experiments on real executions:
 * tile-size sweep of the OPS ``tiled`` backend over a CloverLeaf-sized
   stencil sweep, with the model's cache-fit estimate alongside measured
   wall time;
-* lazy loop-chain execution (fusion) vs eager execution of a pointwise
-  pipeline: identical results, with the fusion statistics (group sizes =
-  launches saved on real hardware).
+* lazy cross-loop execution (``ops.lazy_scope``, fused tiles) vs eager
+  execution of a pointwise pipeline: bitwise-identical results, with the
+  fused group and tile counts taken from ``PerfCounters``.
 """
 
 import time
@@ -17,8 +17,10 @@ import pytest
 
 from _support import emit
 from repro import ops
-from repro.ops.fusion import LoopChain
-from repro.ops.tiling import tile_working_set_bytes
+from repro.common.config import swap
+from repro.common.counters import PerfCounters
+from repro.common.profiling import counters_scope
+from repro.ops.tileplan import tile_working_set_bytes
 
 N = 256
 TILE_EDGES = [16, 32, 64, 128, 256]
@@ -61,6 +63,7 @@ def test_ablation_tile_size(benchmark):
     rows = [f"{'tile edge':>10}{'working set KiB':>17}{'measured ms':>13}{'correct':>9}"]
     ms_by_edge = {}
     for edge in TILE_EDGES:
+        run_tiled(edge)  # warm: the first call at an edge builds its plan
         b.data[:] = 0
         t0 = time.perf_counter()
         run_tiled(edge)
@@ -81,15 +84,19 @@ def test_ablation_fusion_vs_eager(benchmark):
     blk, a, b, c = fields()
     r = [(0, N), (0, N)]
 
-    def eager():
-        ops.par_loop(axpy, blk, r, a(ops.READ), b(ops.WRITE))
-        ops.par_loop(square, blk, r, b(ops.READ), c(ops.WRITE))
+    def chain():
+        ops.par_loop(axpy, blk, r, a(ops.READ), b(ops.WRITE), backend="vec")
+        ops.par_loop(square, blk, r, b(ops.READ), c(ops.WRITE), backend="vec")
 
-    def fused():
-        chain = LoopChain(tile_shape=(64, 64))
-        chain.add(axpy, blk, r, a(ops.READ), b(ops.WRITE))
-        chain.add(square, blk, r, b(ops.READ), c(ops.WRITE))
-        return chain.execute()
+    def eager():
+        with swap(lazy=False):
+            chain()
+
+    def fused() -> PerfCounters:
+        counters = PerfCounters()
+        with counters_scope(counters), ops.lazy_scope(lazy_tile=(64, 64)):
+            chain()
+        return counters
 
     eager()
     ref = c.interior.copy()
@@ -109,8 +116,8 @@ def test_ablation_fusion_vs_eager(benchmark):
 
     rows = [
         f"chain of 2 pointwise loops over {N}x{N}:",
-        f"  fusion groups: {stats['groups']} (largest {stats['largest_group']}, "
-        f"{stats['tiles']} tiles)",
+        f"  fused groups: {stats.lazy_groups} ({stats.lazy_loops} loops, "
+        f"{stats.lazy_tiles} tiles)",
         f"  eager {t_eager * 1e3:.2f} ms vs fused {t_fused * 1e3:.2f} ms",
         "  (on real hardware fusion additionally saves one kernel launch per",
         "   fused loop and keeps the tile resident in cache between loops)",
@@ -119,10 +126,14 @@ def test_ablation_fusion_vs_eager(benchmark):
         "ablation_fusion",
         rows,
         data={
-            "config": {"grid": [N, N]},
+            "config": {"grid": [N, N], "lazy_tile": [64, 64]},
             "wall_seconds": {"eager": t_eager, "fused": t_fused},
-            "fusion_stats": dict(stats),
+            "fusion_stats": {
+                "loops": stats.lazy_loops,
+                "groups": stats.lazy_groups,
+                "tiles": stats.lazy_tiles,
+            },
         },
     )
-    assert stats["groups"] == 1
-    assert stats["largest_group"] == 2
+    assert stats.lazy_groups == 1
+    assert stats.lazy_loops == 2

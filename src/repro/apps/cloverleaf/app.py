@@ -29,14 +29,11 @@ class CloverLeafApp:
     """CloverLeaf 2D written against the OPS API."""
 
     def __init__(self, state: CloverState | None = None, *, nx: int = 64, ny: int = 64,
-                 backend: str = "vec", fuse_lagrangian: bool = False):
+                 backend: str = "vec"):
         self.st = state if state is not None else clover_bm_state(nx, ny)
         self.backend = backend
         self.dt = DT_INIT
         self.step_count = 0
-        #: execute the PdV-predictor / EOS / revert pointwise run as one
-        #: tile-fused loop chain (the Section-VI locality optimisation)
-        self.fuse_lagrangian = fuse_lagrangian
 
     # -- helpers --------------------------------------------------------------------
 
@@ -148,16 +145,8 @@ class CloverLeafApp:
                 0,
             ),
         ]
-        if self.fuse_lagrangian and not hasattr(self, "lb"):
-            from repro.ops.fusion import LoopChain
-
-            chain = LoopChain(tile_shape=(64, 64))
-            for kern, ranges, args, name, flops in predictor:
-                chain.add(kern, st.block, ranges, *args, name=name, flops_per_point=flops)
-            chain.execute(backend=self.backend)
-        else:
-            for kern, ranges, args, name, flops in predictor:
-                self._loop(kern, ranges, *args, name=name, flops=flops)
+        for kern, ranges, args, name, flops in predictor:
+            self._loop(kern, ranges, *args, name=name, flops=flops)
         self._apply_bcs(["pressure", "viscosity", "density0"])
         self._loop(
             K.make_accelerate_kernel(self.dt, st.dx, st.dy),

@@ -70,11 +70,12 @@ class Config:
     #: means every call takes the interpreted path (the pre-plan behaviour;
     #: benchmarks toggle this to measure the amortisation win)
     use_execplan: bool = True
-    #: maximum number of compiled loops kept per registry (LRU eviction).
-    #: Default 512 plans per registry (op2 and ops each keep their own);
+    #: capacity of each compiled-loop cache (the op2 and the ops
+    #: ``common.plancache.PlanCache``, LRU): 512 plans each by default;
     #: override per process with ``REPRO_EXECPLAN_CACHE_SIZE`` or at runtime
-    #: with :func:`configure` / ``op2.set_plan_cache_capacity`` — the serving
-    #: layer sizes this to hold every tenant's warm plans simultaneously
+    #: with ``set_plan_cache_capacity`` (``repro.op2``/``repro.ops``), which
+    #: trims both caches at once — the serving layer sizes this to hold
+    #: every tenant's warm plans simultaneously
     execplan_cache_size: int = field(
         default_factory=lambda: _env_int("REPRO_EXECPLAN_CACHE_SIZE", 512)
     )
@@ -97,7 +98,8 @@ class Config:
     #: queued loops per thread before a forced flush (bounds deferral of a
     #: program that never observes its data)
     lazy_queue_limit: int = 512
-    #: maximum cached chain schedules (LRU; ``REPRO_CHAIN_CACHE_SIZE``)
+    #: capacity of the lazy chain-schedule ``common.plancache.PlanCache``
+    #: (LRU; ``REPRO_CHAIN_CACHE_SIZE``), read at every insert
     chain_cache_size: int = field(
         default_factory=lambda: _env_int("REPRO_CHAIN_CACHE_SIZE", 128)
     )

@@ -94,6 +94,7 @@ class PerfCounters:
     lazy_bytes_saved: int = 0
     chain_hits: int = 0
     chain_misses: int = 0
+    chain_evictions: int = 0
     # -- native backend: compiled-kernel dispatch and the .so cache ---------------
     native_calls: int = 0
     native_compiles: int = 0
@@ -171,6 +172,9 @@ class PerfCounters:
     def record_chain_miss(self) -> None:
         self.chain_misses += 1
 
+    def record_chain_eviction(self) -> None:
+        self.chain_evictions += 1
+
     def record_native_call(self) -> None:
         """Account one loop executed through a compiled C entry point."""
         self.native_calls += 1
@@ -235,6 +239,7 @@ class PerfCounters:
         self.lazy_bytes_saved += other.lazy_bytes_saved
         self.chain_hits += other.chain_hits
         self.chain_misses += other.chain_misses
+        self.chain_evictions += other.chain_evictions
         self.native_calls += other.native_calls
         self.native_compiles += other.native_compiles
         self.native_cache_hits += other.native_cache_hits
@@ -267,6 +272,7 @@ class PerfCounters:
         self.lazy_bytes_saved = 0
         self.chain_hits = 0
         self.chain_misses = 0
+        self.chain_evictions = 0
         self.native_calls = 0
         self.native_compiles = 0
         self.native_cache_hits = 0

@@ -84,6 +84,7 @@ def timing_report(counters: PerfCounters, *, top: int | None = None) -> str:
             f"{counters.lazy_groups} fused groups in {counters.lazy_tiles} tiles, "
             f"chain cache {counters.chain_hits}/{counters.chain_misses} hit/miss "
             f"({100.0 * counters.chain_hit_rate:.1f}%), "
+            f"{counters.chain_evictions} evictions, "
             f"{counters.lazy_bytes_saved / 1e6:.2f} MB movement saved"
         )
     if counters.native_calls or counters.native_fallbacks:

@@ -25,7 +25,8 @@ it in a :class:`CompiledLoop`:
 * the loop's exact traffic/flop accounting, folded into the counters as
   precomputed constants.
 
-Compiled loops live in a bounded LRU registry keyed by *stable* monotonic
+Compiled loops live in a bounded :class:`~repro.common.plancache.PlanCache`
+(capacity shared with the ops registry) keyed by *stable* monotonic
 tokens (kernel, iteration set, per-arg dat/map/idx/access, ``n``), never by
 ``id()``.  Entries are invalidated when a dat's storage shape/dtype or a
 map's values array changes, and dropped wholesale by
@@ -34,8 +35,6 @@ map's values array changes, and dropped wholesale by
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +48,7 @@ from repro.common.profiling import (
     notify_loop,
     observers_active,
 )
+from repro.common.plancache import PlanCache, set_plan_cache_capacity
 from repro.telemetry import tracer as _trace
 from repro.op2 import plan as colour_plan
 from repro.op2.args import Arg
@@ -247,9 +247,10 @@ def _compile_subset(args: Sequence[Arg], idx, m: int) -> _SubsetExec:
 class CompiledLoop:
     """Everything re-derivable from one loop signature, computed once."""
 
-    def __init__(self, kernel: Kernel, iterset: Set, args: list[Arg], backend: str, n: int):
+    def __init__(self, kernel: Kernel, iterset: Set, args: Sequence[Arg], backend: str, n: int):
         from repro.op2 import parloop as _parloop  # deferred: parloop imports us
 
+        args = list(args)
         self.kernel = kernel
         self.iterset = iterset
         self.args = args  # strong refs keep dats/maps alive while cached
@@ -375,9 +376,10 @@ class CompiledLoop:
 
 # -- registry -----------------------------------------------------------------
 
-_registry: OrderedDict[tuple, CompiledLoop] = OrderedDict()
-_lock = threading.Lock()
-_stats = {"hits": 0, "misses": 0, "invalidations": 0, "evictions": 0}
+_plans = PlanCache(
+    "plan", "plan", "execplan_cache_size",
+    lambda c: {"kernel": c.kernel.name, "backend": c.backend, "n": c.n},
+)
 
 
 def _signature(kernel: Kernel, iterset: Set, args: tuple, backend: str, n: int) -> tuple:
@@ -414,72 +416,21 @@ def lookup(
     except (AttributeError, TypeError):
         return None
 
-    counters = active_counters()
-    trc = _trace.ACTIVE
-    with _lock:
-        compiled = _registry.get(key)
-        if compiled is not None:
-            if compiled.still_valid():
-                _registry.move_to_end(key)
-                _stats["hits"] += 1
-                counters.record_plan_hit()
-                return compiled
-            del _registry[key]
-            _stats["invalidations"] += 1
-            counters.record_plan_invalidation()
-            if trc is not None:
-                trc.instant(
-                    "plan_invalidation", "plan", kernel=kernel.name, backend=backend
-                )
-
-    # compile outside the lock: colouring/argsort can be expensive and the
-    # simulated MPI ranks compile distinct per-rank signatures concurrently
-    compiled = CompiledLoop(kernel, iterset, list(args), backend, n)
-    with _lock:
-        _registry[key] = compiled
-        _stats["misses"] += 1
-        counters.record_plan_miss()
-        if trc is not None:
-            trc.instant("plan_miss", "plan", kernel=kernel.name, backend=backend, n=n)
-        limit = get_config().execplan_cache_size
-        while len(_registry) > limit:
-            _, evicted = _registry.popitem(last=False)
-            _stats["evictions"] += 1
-            counters.record_plan_eviction()
-            if trc is not None:
-                trc.instant("plan_eviction", "plan", kernel=evicted.kernel.name)
-    return compiled
+    # compiled outside the cache lock: colouring/argsort can be expensive
+    # and the simulated MPI ranks compile distinct per-rank signatures
+    # concurrently
+    return _plans.get(key, CompiledLoop, kernel, iterset, args, backend, n)
 
 
 def clear_plan_cache() -> None:
     """Drop every compiled loop, colouring plan and unique-count entry."""
     from repro.op2 import parloop as _parloop
 
-    with _lock:
-        _registry.clear()
+    _plans.clear()
     colour_plan.clear_plan_cache()
     _parloop._unique_count_cache.clear()
 
 
-def set_plan_cache_capacity(limit: int) -> None:
-    """Resize the per-process plan LRU (persistently; evicts down to fit).
-
-    The default capacity is 512 compiled loops (``Config.execplan_cache_size``,
-    overridable at startup with ``REPRO_EXECPLAN_CACHE_SIZE``); the serving
-    layer calls this so one process can hold every tenant's warm plans.
-    """
-    if limit < 1:
-        raise ValueError("plan cache capacity must be >= 1")
-    from repro.common.config import configure
-
-    configure(execplan_cache_size=limit)
-    with _lock:
-        while len(_registry) > limit:
-            _registry.popitem(last=False)
-            _stats["evictions"] += 1
-
-
 def plan_cache_stats() -> dict[str, int]:
     """Process-lifetime registry statistics (tests and diagnostics)."""
-    with _lock:
-        return {"size": len(_registry), **_stats}
+    return _plans.stats()

@@ -40,8 +40,6 @@ from repro.ops.parloop import par_loop, set_default_backend
 from repro.ops.execplan import CompiledOpsLoop, clear_plan_cache, plan_cache_stats, set_plan_cache_capacity
 from repro.ops.halo import Halo, HaloGroup
 from repro.ops.decomp import DecomposedBlock
-from repro.ops.tiling import tiled_ranges
-from repro.ops.fusion import LoopChain
 from repro.ops.lazy import (
     chain_cache_stats,
     clear_chain_cache,
@@ -49,7 +47,7 @@ from repro.ops.lazy import (
     lazy_scope,
     queued_loops,
 )
-from repro.ops.tileplan import build_tile_schedule
+from repro.ops.tileplan import build_tile_schedule, tiled_ranges
 
 __all__ = [
     "READ",
@@ -76,7 +74,6 @@ __all__ = [
     "HaloGroup",
     "DecomposedBlock",
     "tiled_ranges",
-    "LoopChain",
     "build_tile_schedule",
     "chain_cache_stats",
     "clear_chain_cache",

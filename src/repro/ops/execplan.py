@@ -21,7 +21,8 @@ Reduction handles are *slots*, not captures: apps routinely build a fresh
 slot's access mode and rebind the caller's handle (accessor position and
 event ``data_ref``) on every call.
 
-Plans live in a bounded LRU registry keyed by stable monotonic tokens.
+Plans live in a bounded :class:`~repro.common.plancache.PlanCache` keyed by
+stable monotonic tokens, sharing its capacity with the op2 registry.
 Because the cached views alias a dat's storage array, entries guard on the
 identity of every ``dat.data`` and are invalidated when storage is
 replaced.  ``seq`` stays the untouched interpreted reference, and stencil
@@ -30,11 +31,8 @@ checking / descriptor verification always bypass the compiled path.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Callable, Sequence
 
-from repro.common.config import get_config
 from repro.common.counters import LoopRecord, PerfCounters, Timer
 from repro.common.profiling import (
     LoopEvent,
@@ -42,12 +40,13 @@ from repro.common.profiling import (
     notify_loop,
     observers_active,
 )
+from repro.common.plancache import PlanCache, set_plan_cache_capacity
 from repro.common.tokens import kernel_token
 from repro.telemetry import tracer as _trace
 from repro.ops.block import Block
 from repro.ops.dat import Dat
 from repro.ops.reduction import Reduction
-from repro.ops.tiling import tiled_ranges
+from repro.ops.tileplan import tiled_ranges
 
 __all__ = [
     "CompiledOpsLoop",
@@ -244,9 +243,10 @@ class CompiledOpsLoop:
 
 # -- registry -----------------------------------------------------------------
 
-_registry: OrderedDict[tuple, CompiledOpsLoop] = OrderedDict()
-_lock = threading.Lock()
-_stats = {"hits": 0, "misses": 0, "invalidations": 0, "evictions": 0}
+_plans = PlanCache(
+    "plan", "plan", "execplan_cache_size",
+    lambda c: {"kernel": c.name, "backend": c.trace_attrs["backend"]},
+)
 
 
 def _signature(
@@ -307,70 +307,20 @@ def lookup(
     except (AttributeError, TypeError):
         return None
 
-    counters = active_counters()
-    trc = _trace.ACTIVE
-    with _lock:
-        compiled = _registry.get(key)
-        if compiled is not None:
-            if compiled.still_valid():
-                _registry.move_to_end(key)
-                _stats["hits"] += 1
-                counters.record_plan_hit()
-                return compiled
-            del _registry[key]
-            _stats["invalidations"] += 1
-            counters.record_plan_invalidation()
-            if trc is not None:
-                trc.instant(
-                    "plan_invalidation", "plan", kernel=loop_name, backend=backend
-                )
-
-    # compile outside the lock: slicing every tile's views can be expensive
-    # and simulated MPI ranks compile distinct per-rank signatures concurrently
-    compiled = CompiledOpsLoop(
-        kernel, block, ranges, args, backend, loop_name, flops_per_point, tile_shape
+    # compiled outside the cache lock: slicing every tile's views can be
+    # expensive and simulated MPI ranks compile distinct per-rank signatures
+    # concurrently
+    return _plans.get(
+        key, CompiledOpsLoop,
+        kernel, block, ranges, args, backend, loop_name, flops_per_point, tile_shape,
     )
-    with _lock:
-        _registry[key] = compiled
-        _stats["misses"] += 1
-        counters.record_plan_miss()
-        if trc is not None:
-            trc.instant("plan_miss", "plan", kernel=loop_name, backend=backend)
-        limit = get_config().execplan_cache_size
-        while len(_registry) > limit:
-            _, evicted = _registry.popitem(last=False)
-            _stats["evictions"] += 1
-            counters.record_plan_eviction()
-            if trc is not None:
-                trc.instant("plan_eviction", "plan", kernel=evicted.name)
-    return compiled
 
 
 def clear_plan_cache() -> None:
     """Drop every compiled structured loop (tests / reconfiguration)."""
-    with _lock:
-        _registry.clear()
-
-
-def set_plan_cache_capacity(limit: int) -> None:
-    """Resize the per-process plan LRU (persistently; evicts down to fit).
-
-    Shares ``Config.execplan_cache_size`` with the op2 registry (default 512,
-    ``REPRO_EXECPLAN_CACHE_SIZE`` at startup), so sizing either registry
-    sizes both.
-    """
-    if limit < 1:
-        raise ValueError("plan cache capacity must be >= 1")
-    from repro.common.config import configure
-
-    configure(execplan_cache_size=limit)
-    with _lock:
-        while len(_registry) > limit:
-            _registry.popitem(last=False)
-            _stats["evictions"] += 1
+    _plans.clear()
 
 
 def plan_cache_stats() -> dict[str, int]:
     """Process-lifetime registry statistics (tests and diagnostics)."""
-    with _lock:
-        return {"size": len(_registry), **_stats}
+    return _plans.stats()

@@ -18,13 +18,13 @@ mixed-API program, or an explicit :func:`flush` — at which moment:
    (:func:`repro.ops.parloop._execute_loop`), so the ``execplan`` compiled
    path caches one plan per (loop, tile) and replays it every timestep.
 
-Schedules are cached in a bounded LRU keyed by the chain's structural
-signature — per loop: kernel code identity, block/dat tokens, ranges,
-access modes and stencil points.  Closure *values* are deliberately
-excluded (unlike ``execplan``'s plan keys): the schedule depends only on
-the descriptors, so a kernel factory that bakes a fresh ``dt`` every step
-still hits.  A replaced dat draws a new token and misses, which is the
-invalidation path.
+Schedules are cached in a bounded :class:`~repro.common.plancache.PlanCache`
+keyed by the chain's structural signature — per loop: kernel code identity,
+block/dat tokens, ranges, access modes and stencil points.  Closure
+*values* are deliberately excluded (unlike ``execplan``'s plan keys): the
+schedule depends only on the descriptors, so a kernel factory that bakes a
+fresh ``dt`` every step still hits.  A replaced dat draws a new token and
+misses, which is the invalidation path.
 
 Exactness rules (what may fuse):
 
@@ -52,11 +52,11 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.common.config import get_config
+from repro.common.plancache import PlanCache
 from repro.common.profiling import active_counters, observers_active
 from repro.lint.dataflow import AccessRecord
 from repro.ops.tileplan import ChainSchedule, LoopSpec, build_tile_schedule
@@ -324,9 +324,15 @@ def lazy_scope(**overrides):
 
 # -- chain-schedule cache -----------------------------------------------------
 
-_chains: OrderedDict[tuple, tuple[ChainSchedule, tuple]] = OrderedDict()
-_chain_lock = threading.Lock()
-_chain_stats = {"hits": 0, "misses": 0, "evictions": 0}
+_chains = PlanCache(
+    "chain", "lazy", "chain_cache_size",
+    lambda entry: {
+        "loops": entry[0].n_loops,
+        "groups": len(entry[0].groups),
+        "fused_tiles": entry[0].fused_tiles,
+    },
+    guarded=False,
+)
 
 
 def _group_bytes_saved(queue: list, loops: tuple) -> int:
@@ -353,22 +359,9 @@ def _group_bytes_saved(queue: list, loops: tuple) -> int:
     return saved
 
 
-def _schedule_for(queue: list) -> tuple[ChainSchedule, tuple]:
-    cfg = get_config()
-    key = (
-        tuple(q.sig for q in queue),
-        tuple(cfg.lazy_tile) if cfg.lazy_tile else None,
-        cfg.lazy_max_group,
-    )
-    counters = active_counters()
-    with _chain_lock:
-        cached = _chains.get(key)
-        if cached is not None:
-            _chains.move_to_end(key)
-            _chain_stats["hits"] += 1
-            counters.record_chain_hit()
-            return cached
-
+def _build_schedule(queue: list, cfg) -> tuple[ChainSchedule, tuple]:
+    # ``build_tile_schedule`` is looked up as a module global on every
+    # build, so instrumentation that replaces it here sees each call
     schedule = build_tile_schedule(
         [q.spec for q in queue],
         tile_shape=cfg.lazy_tile,
@@ -378,34 +371,27 @@ def _schedule_for(queue: list) -> tuple[ChainSchedule, tuple]:
         _group_bytes_saved(queue, g.loops) if g.fused else 0
         for g in schedule.groups
     )
-    trc = _trace.ACTIVE
-    with _chain_lock:
-        _chains[key] = (schedule, group_saved)
-        _chain_stats["misses"] += 1
-        counters.record_chain_miss()
-        if trc is not None:
-            trc.instant(
-                "chain_miss", "lazy",
-                loops=len(queue), groups=len(schedule.groups),
-                fused_tiles=schedule.fused_tiles,
-            )
-        limit = cfg.chain_cache_size
-        while len(_chains) > limit:
-            _chains.popitem(last=False)
-            _chain_stats["evictions"] += 1
     return schedule, group_saved
+
+
+def _schedule_for(queue: list) -> tuple[ChainSchedule, tuple]:
+    cfg = get_config()
+    key = (
+        tuple(q.sig for q in queue),
+        tuple(cfg.lazy_tile) if cfg.lazy_tile else None,
+        cfg.lazy_max_group,
+    )
+    return _chains.get(key, _build_schedule, queue, cfg)
 
 
 def chain_cache_stats() -> dict[str, int]:
     """Process-lifetime chain-schedule cache statistics."""
-    with _chain_lock:
-        return {"size": len(_chains), **_chain_stats}
+    return _chains.stats()
 
 
 def clear_chain_cache() -> None:
     """Drop every cached chain schedule (tests / reconfiguration)."""
-    with _chain_lock:
-        _chains.clear()
+    _chains.clear()
 
 
 # -- flush execution ----------------------------------------------------------

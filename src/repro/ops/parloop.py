@@ -39,7 +39,7 @@ from repro.ops.block import Block
 from repro.ops.dat import Dat
 from repro.ops.reduction import Reduction
 from repro.ops.stencil import Stencil
-from repro.ops.tiling import tiled_ranges
+from repro.ops.tileplan import tiled_ranges
 
 _default_backend = "vec"
 

@@ -23,9 +23,15 @@ own ``[lo, hi)`` keeps the per-loop partition exact (every point exactly
 once) and cannot reorder a dependence across tiles, because a clamped cut
 only matters for points outside the other loop's reachable range.
 
+The same module holds the single-loop cache blocking of the ``tiled``
+backend ("Locality on CPUs can be improved using techniques such as cache
+blocking", paper Section VI): :func:`tiled_ranges` splits one loop's
+iteration range into :data:`DEFAULT_TILE`-edged tiles, so intra-loop and
+cross-loop tiling agree on granularity.
+
 This module never executes anything and never imports the runtime; it is
-shared by :mod:`repro.ops.lazy` and directly exercised by the hypothesis
-property suite.
+shared by :mod:`repro.ops.lazy`, the ``tiled`` backend and the compiled
+executors, and directly exercised by the hypothesis property suite.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
+from repro.common.errors import APIError
 from repro.lint.dataflow import (
     AccessRecord,
     DependenceGraph,
@@ -46,13 +53,49 @@ __all__ = [
     "GroupSchedule",
     "ChainSchedule",
     "build_tile_schedule",
+    "tiled_ranges",
+    "tile_working_set_bytes",
     "DEFAULT_TILE",
 ]
 
-#: default per-dimension tile width when the caller does not pin one;
-#: matches ops.tiling.DEFAULT_TILE so intra-loop and cross-loop tiling
-#: agree on granularity
+#: default per-dimension tile edge when the caller does not pin one, for
+#: both single-loop and cross-loop tiles (doubles: ~32 KiB per 2-D field)
 DEFAULT_TILE = 64
+
+
+def tiled_ranges(
+    ranges: list[tuple[int, int]],
+    tile_shape: tuple[int, ...] | None = None,
+) -> list[list[tuple[int, int]]]:
+    """Split ``ranges`` into a list of tile ranges, row-major order.
+
+    ``tile_shape`` gives the tile edge per dimension (default
+    :data:`DEFAULT_TILE` in every dimension).
+    """
+    ndim = len(ranges)
+    if tile_shape is None:
+        tile_shape = (DEFAULT_TILE,) * ndim
+    if len(tile_shape) != ndim:
+        raise APIError(f"tile shape {tile_shape} does not match {ndim} dimensions")
+    if any(t < 1 for t in tile_shape):
+        raise APIError("tile edges must be positive")
+
+    def split(lo: int, hi: int, t: int) -> list[tuple[int, int]]:
+        return [(a, min(a + t, hi)) for a in range(lo, hi, t)] or [(lo, hi)]
+
+    per_dim = [split(lo, hi, t) for (lo, hi), t in zip(ranges, tile_shape)]
+    tiles: list[list[tuple[int, int]]] = [[]]
+    for options in per_dim:
+        tiles = [prefix + [opt] for prefix in tiles for opt in options]
+    return tiles
+
+
+def tile_working_set_bytes(tile_shape: tuple[int, ...], n_fields: int, itemsize: int = 8) -> int:
+    """Bytes touched by one tile across all fields (cache-fit estimation)."""
+    pts = 1
+    for t in tile_shape:
+        pts *= t
+    return pts * n_fields * itemsize
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from repro.apps.cloverleaf.app import DistributedCloverLeafApp
 from repro.apps.cloverleaf.state import DT_MAX
 from repro.common.counters import PerfCounters
 from repro.common.profiling import counters_scope, loop_chain_record
+from repro.ops import lazy_scope
 from repro.ops.decomp import DecomposedBlock
 from repro.simmpi import run_spmd
 
@@ -155,11 +156,14 @@ class TestDistributed:
 
 
 class TestFusedLagrangian:
+    """The PdV-predictor / EOS / revert run fused by ``ops.lazy_scope``."""
+
     def test_fused_matches_unfused_bitwise(self):
-        a = CloverLeafApp(nx=20, ny=16, fuse_lagrangian=False)
-        b = CloverLeafApp(nx=20, ny=16, fuse_lagrangian=True)
+        a = CloverLeafApp(nx=20, ny=16)
+        b = CloverLeafApp(nx=20, ny=16)
         sa = a.run(4)
-        sb = b.run(4)
+        with lazy_scope():
+            sb = b.run(4)
         for key in sa:
             assert sa[key] == sb[key], key
         np.testing.assert_array_equal(
@@ -167,15 +171,16 @@ class TestFusedLagrangian:
         )
 
     def test_fused_groups_the_predictor(self):
-        from repro.common.profiling import loop_chain_record
-
-        app = CloverLeafApp(nx=8, ny=8, fuse_lagrangian=True)
-        with loop_chain_record() as events:
-            app.step()
-        names = [e.name for e in events]
-        # fusion preserves the loop sequence (tiles re-run loops in order,
-        # so the three predictor loops appear interleaved per tile)
-        assert "pdv_predict" in names and "revert" in names
+        app = CloverLeafApp(nx=8, ny=8)
+        c = PerfCounters()
+        with counters_scope(c), lazy_scope():
+            app.lagrangian()
+        assert c.lazy_groups >= 1
+        # fused tiles re-run each loop once per tile, covering every cell
+        # exactly once
+        for name in ("pdv_predict", "ideal_gas", "revert"):
+            assert c.loop(name).invocations > 1, name
+            assert c.loop(name).iterations == 8 * 8, name
 
 
 class TestSymmetry:

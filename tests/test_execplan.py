@@ -367,6 +367,30 @@ class TestOpsRegistry:
         assert s1["misses"] - s0["misses"] == 2
         np.testing.assert_array_equal(d.interior, np.full((4, 4), 3.5))
 
+    def test_op2_resize_trims_ops_registry(self):
+        # one capacity governs both registries, and a resize's evictions
+        # are counted and traced like the evictions an insert causes
+        from repro import telemetry
+        from repro.common.config import Config, configure
+
+        _fresh_caches()
+        block, d, scale = self._site()
+        c = PerfCounters()
+        try:
+            with telemetry.tracing() as trc, counters_scope(c):
+                for hi in range(1, 7):  # six ranges: six distinct plans
+                    ops.par_loop(scale, block, [(0, hi), (0, 5)], d(ops.RW),
+                                 backend="vec")
+                assert ops_exec.plan_cache_stats()["size"] == 6
+                op2.set_plan_cache_capacity(2)
+        finally:
+            configure(execplan_cache_size=Config().execplan_cache_size)
+        assert ops_exec.plan_cache_stats()["size"] == 2
+        assert c.plan_evictions == 4
+        evicted = [e for e in trc.events()
+                   if isinstance(e, telemetry.InstantEvent) and e.name == "plan_eviction"]
+        assert len(evicted) == 4
+
     def test_checking_bypasses_compiled_path(self):
         block, d, scale = self._site()
         s0 = ops_exec.plan_cache_stats()
@@ -377,6 +401,47 @@ class TestOpsRegistry:
 
 
 # -- counters and timing_report -----------------------------------------------------
+
+
+class TestPlanCacheThreads:
+    def test_concurrent_gets_lose_no_update(self):
+        """Rank threads share one cache: under heavy thread switching every
+        get is counted exactly once and the LRU stays at its capacity."""
+        import sys
+        import threading
+
+        from repro.common.plancache import PlanCache
+
+        class Entry:
+            def still_valid(self):
+                return True
+
+        cache = PlanCache("plan", "plan", "execplan_cache_size", lambda e: {})
+        n_threads, n_gets = 6, 3000
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with swap(execplan_cache_size=8):
+                threads = [
+                    threading.Thread(
+                        target=lambda t=t: [cache.get((t * 7 + i) % 20, Entry)
+                                            for i in range(n_gets)]
+                    )
+                    for t in range(n_threads)
+                ]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        stats = cache.stats()
+        assert stats["hits"] + stats["misses"] == n_threads * n_gets
+        assert stats["size"] == 8
+        # two threads missing one key both build it, and the later insert
+        # replaces the earlier one without an eviction
+        assert stats["evictions"] <= stats["misses"] - stats["size"]
 
 
 class TestPlanCounters:

@@ -882,8 +882,12 @@ class TestChainCache:
         assert c.chain_misses == 2
 
     def test_cache_is_bounded(self):
+        from repro import telemetry
+
         blk, u, v = _chain_setup()
-        with swap(lazy=True, chain_cache_size=2):
+        c = PerfCounters()
+        with telemetry.tracing() as trc, counters_scope(c), \
+                swap(lazy=True, chain_cache_size=2):
             for shift in range(4):
                 r = [(1, 20 + shift), (1, 20 + shift)]
                 ops.par_loop(smooth, blk, r, u(ops.READ, ops.S2D_5PT),
@@ -894,6 +898,14 @@ class TestChainCache:
         stats = lazy_mod.chain_cache_stats()
         assert stats["size"] <= 2
         assert stats["evictions"] >= 2
+        # four distinct chains through a two-entry cache: two evictions,
+        # each counted and traced
+        assert c.chain_evictions == 2
+        evicted = [e for e in trc.events()
+                   if isinstance(e, telemetry.InstantEvent) and e.name == "chain_eviction"]
+        assert len(evicted) == 2
+        footer = [ln for ln in timing_report(c).splitlines() if ln.startswith("lazy:")]
+        assert "2 evictions" in footer[0]
 
     def test_stats_shape(self):
         stats = lazy_mod.chain_cache_stats()

@@ -5,7 +5,7 @@ import pytest
 
 from repro import ops
 from repro.ops.decomp import DecomposedBlock, _split_extents
-from repro.ops.tiling import choose_tile_shape, tile_working_set_bytes, tiled_ranges
+from repro.ops.tileplan import tile_working_set_bytes, tiled_ranges
 from repro.simmpi import World, run_spmd
 
 
@@ -151,10 +151,6 @@ class TestTiling:
 
     def test_working_set(self):
         assert tile_working_set_bytes((8, 8), 3) == 8 * 8 * 3 * 8
-
-    def test_choose_tile_fits_cache(self):
-        shape = choose_tile_shape([(0, 1000), (0, 1000)], n_fields=10, cache_bytes=256 * 1024)
-        assert tile_working_set_bytes(shape, 10) <= 256 * 1024
 
 
 class TestDecompositionProperty:
